@@ -1,0 +1,14 @@
+"""Make ``qoebench`` and ``repro`` importable for the benchmark's own tests.
+
+Run from the repository root:  python -m pytest perfbench/tests -q
+"""
+
+import sys
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parents[1]
+ROOT = BENCH.parent
+
+for path in (BENCH, ROOT / "src"):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
