@@ -7,25 +7,33 @@ subsets of size sqrt(n_features), and aggregation by averaging the
 trees' leaf class distributions (soft voting), which is also what Weka
 does by default.
 
-Trees are independent once seeded, so both :meth:`fit` and
-:meth:`predict_proba` fan out over an ``n_jobs`` worker pool
-(:mod:`repro.ml.parallel`).  Each tree draws its RNG from its own
-``np.random.SeedSequence.spawn`` child — never from a generator shared
-across trees — and floating-point partials are combined per fixed-size
-tree block in block order, so a fitted forest and its predictions are
-bit-identical for any ``n_jobs`` given the same ``random_state``.
+Trees are independent once seeded, so :meth:`fit` fans out over an
+``n_jobs`` worker pool (:mod:`repro.ml.parallel`).  Each tree draws its
+RNG from its own ``np.random.SeedSequence.spawn`` child — never from a
+generator shared across trees — and floating-point partials are
+combined per fixed-size tree block in block order, so a fitted forest
+is bit-identical for any ``n_jobs`` given the same ``random_state``.
+
+:meth:`predict_proba` runs in the calling thread.  On first use it
+stacks the fitted trees into one node table (:class:`_NodeTable`) and
+walks rows × trees together in a single depth loop.  The votes are
+summed in the same order as the per-tree path (trees in order inside
+each ``_TREE_BLOCK``, then the block partials in block order), so the
+result is bit-identical to averaging
+:meth:`DecisionTreeClassifier.predict_proba`, which stays the oracle.
+No row's output depends on the other rows of its batch.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, NamedTuple, Optional
 
 import numpy as np
 
 from repro.obs import get_registry, trace
 
 from .parallel import block_ranges, run_tasks
-from .tree import DecisionTreeClassifier
+from .tree import _LEAF, DecisionTreeClassifier
 
 __all__ = ["RandomForestClassifier"]
 
@@ -41,7 +49,13 @@ _PREDICTIONS = _REG.counter(
 #: Trees per dispatched pool task.  Fixed (independent of ``n_jobs``)
 #: because float partials are summed per block in block order — the
 #: determinism anchor that makes serial and parallel runs bit-identical.
+#: Prediction sums its votes in the same blocks.
 _TREE_BLOCK = 8
+
+#: Rows walked through the node table at a time.  Bounds the
+#: (rows × trees) working set for large batches; rows are independent,
+#: so the chunking never changes a value.
+_ROW_CHUNK = 256
 
 
 def _tree_seed_sequences(random_state, n: int) -> List[np.random.SeedSequence]:
@@ -94,17 +108,92 @@ def _fit_tree_block(payload):
     return trees, oob_votes
 
 
-def _predict_proba_block(payload):
-    """Summed class votes of one block of trees over ``X``."""
-    trees, X, n_classes = payload
-    proba = np.zeros((X.shape[0], n_classes))
-    for tree in trees:
-        # Trees are fitted on encoded labels spanning all classes seen
-        # by the forest, but a bootstrap sample may miss some classes:
-        # align the tree's columns into the forest's class space.
-        tree_proba = tree.predict_proba(X)
+class _NodeTable(NamedTuple):
+    """A fitted forest's trees stacked into one set of node arrays.
+
+    Node ids are global: tree ``t``'s nodes start at ``roots[t]``.
+    Leaves point to themselves (feature 0, threshold ``+inf``), so a
+    row that has reached its leaf stays there whatever it is compared
+    with.  ``proba`` holds every node's class distribution, computed by
+    the tree's own :meth:`DecisionTreeClassifier._leaf_distribution`
+    and scattered into the forest's class space (a bootstrap sample
+    may miss classes; their columns stay 0.0, which adds nothing).
+    """
+
+    feature: np.ndarray    # (n_nodes,) int64
+    threshold: np.ndarray  # (n_nodes,) float
+    left: np.ndarray       # (n_nodes,) int64
+    right: np.ndarray      # (n_nodes,) int64
+    internal: np.ndarray   # (n_nodes,) bool, False at leaves
+    roots: np.ndarray      # (n_trees,) int64
+    proba: np.ndarray      # (n_nodes, n_classes) float
+
+
+def _build_node_table(
+    trees: List[DecisionTreeClassifier], n_classes: int
+) -> _NodeTable:
+    sizes = np.array([tree._feature.size for tree in trees], dtype=np.int64)
+    roots = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+    feature = np.concatenate([tree._feature for tree in trees])
+    threshold = np.concatenate([tree._threshold for tree in trees])
+    left = np.concatenate(
+        [tree._left + root for tree, root in zip(trees, roots)]
+    )
+    right = np.concatenate(
+        [tree._right + root for tree, root in zip(trees, roots)]
+    )
+    internal = feature != _LEAF
+    leaves = np.flatnonzero(~internal)
+    feature[leaves] = 0
+    threshold[leaves] = np.inf
+    left[leaves] = leaves
+    right[leaves] = leaves
+    proba = np.zeros((feature.size, n_classes))
+    for tree, root, size in zip(trees, roots, sizes):
         cols = tree.classes_.astype(int)
-        proba[:, cols] += tree_proba
+        proba[root:root + size, cols] = tree._leaf_distribution(tree._value)
+    return _NodeTable(feature, threshold, left, right, internal, roots, proba)
+
+
+def _table_leaves(table: _NodeTable, X: np.ndarray) -> np.ndarray:
+    """Leaf id reached by every (row, tree) pair of ``X``; (rows, trees).
+
+    One depth loop for all pairs.  Pairs still inside their tree form
+    the active set; it is compacted once at least half of it has
+    reached a leaf, and until then finished pairs idle on their
+    self-looping leaves.
+    """
+    n_rows, n_features = X.shape
+    n_trees = table.roots.size
+    flat_x = X.ravel()
+    nodes = np.tile(table.roots, n_rows)
+    pos = np.flatnonzero(table.internal[nodes])
+    cur = nodes[pos]
+    offset = pos // n_trees * n_features
+    while pos.size:
+        # NaN compares False and goes right, as in DecisionTreeClassifier.apply.
+        go_left = flat_x[offset + table.feature[cur]] <= table.threshold[cur]
+        cur = np.where(go_left, table.left[cur], table.right[cur])
+        live = table.internal[cur]
+        n_live = np.count_nonzero(live)
+        if 2 * n_live <= pos.size:
+            nodes[pos] = cur
+            pos, cur, offset = pos[live], cur[live], offset[live]
+    return nodes.reshape(n_rows, n_trees)
+
+
+def _table_proba(table: _NodeTable, X: np.ndarray) -> np.ndarray:
+    """Summed class votes of every tree over ``X``, in per-tree order.
+
+    ``add.accumulate`` adds strictly left to right, so the last entry
+    of each block's accumulation is the block partial the per-tree path
+    builds from zeros one tree at a time; the partials are then added
+    in block order.  (``np.sum`` would pick its own order.)
+    """
+    votes = table.proba[_table_leaves(table, X)]
+    proba = np.zeros((X.shape[0], table.proba.shape[1]))
+    for a, b in block_ranges(table.roots.size, _TREE_BLOCK):
+        proba += np.add.accumulate(votes[:, a:b], axis=1)[:, -1]
     return proba
 
 
@@ -131,9 +220,9 @@ class RandomForestClassifier:
     random_state:
         Seed for reproducible resampling and feature subsampling.
     n_jobs:
-        Worker processes for fitting and prediction.  ``None``/1 runs
-        serially; ``-1`` uses all cores.  Results are bit-identical for
-        any value.
+        Worker processes for fitting.  ``None``/1 runs serially; ``-1``
+        uses all cores.  Results are bit-identical for any value.
+        Prediction always runs in the calling thread.
     """
 
     def __init__(
@@ -240,23 +329,34 @@ class RandomForestClassifier:
                 f"X has {X.shape[1]} features, but the forest was fitted "
                 f"with {self.n_features_}"
             )
+        X = np.ascontiguousarray(X)
         with trace("ml.forest_predict") as span:
-            payloads = [
-                (self.estimators_[a:b], X, self.classes_.size)
-                for a, b in block_ranges(len(self.estimators_), _TREE_BLOCK)
-            ]
-            partials = run_tasks(
-                _predict_proba_block,
-                payloads,
-                n_jobs=self.n_jobs,
-                task="forest_predict",
-            )
+            table = self._node_table()
             proba = np.zeros((X.shape[0], self.classes_.size))
-            for partial in partials:
-                proba += partial
+            for start in range(0, X.shape[0], _ROW_CHUNK):
+                stop = start + _ROW_CHUNK
+                proba[start:stop] = _table_proba(table, X[start:stop])
             span.add("rows", X.shape[0])
         _PREDICTIONS.inc(X.shape[0])
         return proba / len(self.estimators_)
+
+    def _node_table(self) -> _NodeTable:
+        """The stacked node table, built on first use and cached.
+
+        The cache is keyed on the identity of ``estimators_``: ``fit``
+        and ``persistence.forest_from_dict`` assign a new list, which
+        invalidates it.  (Editing a fitted tree's arrays in place does
+        not; assign a new list afterwards.)  It is published with one
+        attribute assignment, so concurrent first predictions at worst
+        build it twice.  Plain arrays only: the forest stays picklable,
+        and the pickle keeps the key's identity.
+        """
+        cached = getattr(self, "_table_cache", None)
+        if cached is not None and cached[0] is self.estimators_:
+            return cached[1]
+        table = _build_node_table(self.estimators_, self.classes_.size)
+        self._table_cache = (self.estimators_, table)
+        return table
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Majority (soft) vote of the ensemble."""

@@ -352,7 +352,14 @@ class DecisionTreeClassifier:
         that ``predict`` would silently argmax to class 0.
         """
         leaves = self.apply(X)
-        counts = self._value[leaves]
+        return self._leaf_distribution(self._value[leaves])
+
+    def _leaf_distribution(self, counts: np.ndarray) -> np.ndarray:
+        """Normalise rows of class counts, uniform where a row is empty.
+
+        The one definition of a leaf's class distribution: the forest's
+        node table normalises every node of this tree through it.
+        """
         totals = counts.sum(axis=1, keepdims=True)
         empty = totals == 0.0
         if np.any(empty):
